@@ -9,8 +9,7 @@
 //! machine produce identical phase trees. `scripts/verify.sh` gates on
 //! exactly that.
 //!
-//! Plain `main` harness (like `experiments`), so it runs in offline
-//! environments where criterion is stubbed:
+//! Plain `main` harness, like `experiments`:
 //!
 //! ```sh
 //! cargo bench -p dgf-bench --bench bench_report           # full run

@@ -1,16 +1,18 @@
 //! The experiment suite: regenerates every table of the reconstructed
-//! evaluation (`DESIGN.md`, experiment index E1–E11). Runs under
+//! evaluation (`DESIGN.md`, figures F1–F4 and experiments E1–E11). Runs under
 //! `cargo bench -p dgf-bench --bench experiments`; results are recorded
 //! in `EXPERIMENTS.md`.
 
 use datagridflows::prelude::*;
 use dgf_bench::{
-    analysis_flow, maybe_dump_metrics, mesh_dfms, notify_flow, print_table, seed_inputs, star_dfms,
+    analysis_flow, deep_request, maybe_dump_metrics, mesh_dfms, notify_flow, print_table,
+    seed_inputs, star_dfms, time_per_iter, wide_request,
 };
 use std::time::Instant;
 
 fn main() {
     println!("Datagridflows experiment suite (deterministic; seeds fixed)");
+    f1_f4_dgl_documents();
     e1_scalability();
     e2_imploding_star();
     e3_exploding_star();
@@ -37,6 +39,40 @@ fn assert_attribution_invariant(d: &Dfms) {
             p.txn
         );
     }
+}
+
+/// F1–F4 — DGL documents (paper Figures 1–4): parse and serialize cost
+/// vs document width and nesting depth.
+fn f1_f4_dgl_documents() {
+    const ITERS: u32 = 50;
+    let mut rows = Vec::new();
+    let mut row = |op: &str, shape: String, request: &DataGridRequest| {
+        let xml = request.to_xml();
+        let us = if op == "serialize" {
+            time_per_iter(ITERS, || {
+                std::hint::black_box(std::hint::black_box(request).to_xml());
+            })
+        } else {
+            time_per_iter(ITERS, || {
+                datagridflows::dgl::parse_request(std::hint::black_box(&xml)).unwrap();
+            })
+        };
+        rows.push(vec![op.to_owned(), shape, xml.len().to_string(), format!("{us:.1}")]);
+    };
+    for steps in [10usize, 100, 1_000] {
+        row("parse", format!("wide, {steps} steps"), &wide_request(steps));
+    }
+    for depth in [4usize, 16, 64] {
+        row("parse", format!("deep, depth {depth}"), &deep_request(depth));
+    }
+    for steps in [10usize, 100, 1_000] {
+        row("serialize", format!("wide, {steps} steps"), &wide_request(steps));
+    }
+    print_table(
+        &format!("F1–F4: DGL document parse/serialize (wall µs, mean of {ITERS})"),
+        &["op", "document", "bytes", "µs/doc"],
+        &rows,
+    );
 }
 
 /// E1 — §3.1 scalability: tasks per workflow, concurrent workflows,
@@ -723,6 +759,16 @@ fn e9_provenance() {
         let restored = ProvenanceStore::restore(&snapshot).unwrap();
         let restore_ms = wall.elapsed().as_secs_f64() * 1e3;
         assert_eq!(restored.len(), records);
+        // The restart memo: has this lineage already completed a step
+        // at this node? Probed with a step from the middle of the log.
+        let probe = &d.provenance().records()[records / 2];
+        assert!(d.provenance().step_completed(&probe.lineage, &probe.node));
+        let memo_ns = 1e3
+            * time_per_iter(100_000, || {
+                std::hint::black_box(
+                    d.provenance().step_completed(std::hint::black_box(&probe.lineage), &probe.node),
+                );
+            });
         rows.push(vec![
             records.to_string(),
             hits.to_string(),
@@ -730,11 +776,12 @@ fn e9_provenance() {
             format!("{:.1}", snapshot.len() as f64 / 1e6),
             format!("{snap_ms:.1}"),
             format!("{restore_ms:.1}"),
+            format!("{memo_ns:.0}"),
         ]);
     }
     print_table(
         "E9: provenance store scaling",
-        &["records", "query hits", "query µs", "snapshot MB", "snapshot ms", "restore ms"],
+        &["records", "query hits", "query µs", "snapshot MB", "snapshot ms", "restore ms", "memo lookup ns"],
         &rows,
     );
 }

@@ -5,9 +5,8 @@
 //! byte-identical state), but checkpoints with compaction drop the
 //! derived transition records and stale snapshots, so the bytes read
 //! and records verified at boot track the command count rather than
-//! the much larger full transition history. Plain `main` harness (like
-//! `experiments`), so it runs in offline environments where criterion
-//! is stubbed:
+//! the much larger full transition history. Plain `main` harness, like
+//! `experiments`:
 //!
 //! ```sh
 //! cargo bench -p dgf-bench --bench journal_replay

@@ -3,15 +3,14 @@
 //!
 //! The scrape is the operator hot path — a monitoring system polls it
 //! continuously — so rendering must stay cheap even with hundreds of
-//! retained series points. Plain `main` harness (like `experiments`),
-//! so it runs in offline environments where criterion is stubbed:
+//! retained series points. Plain `main` harness, like `experiments`:
 //!
 //! ```sh
 //! cargo bench -p dgf-bench --bench telemetry_scrape
 //! ```
 
 use datagridflows::prelude::*;
-use std::time::Instant;
+use dgf_bench::time_per_iter;
 
 /// A two-site grid that ran `flows` pipelines with a 10 s sampling
 /// cadence, leaving metrics, series history, and recorder events.
@@ -48,16 +47,6 @@ fn warmed_dfms(flows: usize) -> Dfms {
     }
     d.sample_telemetry();
     d
-}
-
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One warm-up pass, then the timed loop.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 fn main() {

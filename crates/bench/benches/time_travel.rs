@@ -6,8 +6,7 @@
 //! should grow roughly linearly with the *target* ordinal, not the
 //! journal length — stepping to early history is cheap even in a long
 //! journal, and a bisection's probes get cheaper as the search narrows
-//! toward early ordinals. Plain `main` harness (like `experiments`),
-//! so it runs in offline environments where criterion is stubbed:
+//! toward early ordinals. Plain `main` harness, like `experiments`:
 //!
 //! ```sh
 //! cargo bench -p dgf-bench --bench time_travel

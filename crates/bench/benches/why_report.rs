@@ -5,16 +5,14 @@
 //! The why report is an operator-console hot path — `dgf_top` refreshes
 //! it alongside the telemetry scrape — so critical-path extraction and
 //! bottleneck aggregation must stay cheap as the path set grows. Plain
-//! `main` harness (like `experiments`), so it runs in offline
-//! environments where criterion is stubbed:
+//! `main` harness, like `experiments`:
 //!
 //! ```sh
 //! cargo bench -p dgf-bench --bench why_report
 //! ```
 
 use datagridflows::prelude::*;
-use dgf_bench::mesh_dfms;
-use std::time::Instant;
+use dgf_bench::{mesh_dfms, time_per_iter};
 
 /// A two-site grid that completed `flows` pipelines under a class
 /// objective. Even flows run locally; odd flows pin their compute to
@@ -55,16 +53,6 @@ fn warmed_dfms(flows: usize) -> Dfms {
         assert_eq!(d.status(&txn, None).unwrap().state, RunState::Completed);
     }
     d
-}
-
-fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One warm-up pass, then the timed loop.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
 fn main() {

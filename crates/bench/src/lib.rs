@@ -2,11 +2,24 @@
 //!
 //! The paper (a systems/vision workshop paper) has no quantitative
 //! tables; `DESIGN.md` reconstructs an evaluation from its scenarios and
-//! requirements. This crate provides the shared workload builders and a
-//! plain-text table printer used by the `experiments` bench target (one
-//! section per experiment id E1–E11) and the Criterion micro-benches.
+//! requirements. This crate provides the shared workload builders, a
+//! plain-text table printer, and a wall-clock timer used by the
+//! `experiments` bench target (one section per experiment id F1–F4 and
+//! E1–E11), `bench_report`, and the plain-`main` micro-benches.
 
 use datagridflows::prelude::*;
+use std::time::Instant;
+
+/// Mean wall time of `f` in µs per call: one untimed warm-up call,
+/// then `iters` timed calls.
+pub fn time_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e6 / iters as f64
+}
 
 /// Format and print one paper-style table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -130,7 +143,7 @@ pub fn seed_inputs(dfms: &mut Dfms, n: usize, size: u64) {
 }
 
 /// A deep DGL request document: nested flows `depth` levels, one step at
-/// the bottom — for the parse benches (F1–F4).
+/// the bottom — for the F1–F4 parse rows.
 pub fn deep_request(depth: usize) -> DataGridRequest {
     fn nest(level: usize) -> Flow {
         if level == 0 {

@@ -463,7 +463,7 @@ impl Dfms {
             .why_bottlenecks(q.top_k as usize)
             .iter()
             .map(|b| dgf_dgl::WhyBottleneck {
-                state: wait_state_to_dgl(b.state),
+                state: b.state,
                 resource: b.resource.clone(),
                 total_us: b.total_us,
                 share_ppm: b.share_ppm,
@@ -3163,28 +3163,8 @@ fn abstract_task_from_spec(step: &Step, vo: Option<String>) -> Option<AbstractTa
 }
 
 // ----------------------------------------------------------------------
-// obs ↔ DGL attribution-type mapping (dgf-obs cannot see dgf-dgl, so
-// the taxonomy enums exist in both crates; the engine is the bridge).
+// obs → DGL attribution reports (the wait/alert taxonomies are shared)
 // ----------------------------------------------------------------------
-
-fn wait_state_to_dgl(s: dgf_obs::WaitState) -> dgf_dgl::WaitState {
-    match s {
-        dgf_obs::WaitState::Executing => dgf_dgl::WaitState::Executing,
-        dgf_obs::WaitState::QueuedForCluster => dgf_dgl::WaitState::QueuedForCluster,
-        dgf_obs::WaitState::TransferOnLink => dgf_dgl::WaitState::TransferOnLink,
-        dgf_obs::WaitState::WindowClosed => dgf_dgl::WaitState::WindowClosed,
-        dgf_obs::WaitState::TriggerWait => dgf_dgl::WaitState::TriggerWait,
-        dgf_obs::WaitState::LintAdmission => dgf_dgl::WaitState::LintAdmission,
-    }
-}
-
-fn alert_state_to_dgl(s: dgf_obs::AlertState) -> dgf_dgl::AlertState {
-    match s {
-        dgf_obs::AlertState::Pending => dgf_dgl::AlertState::Pending,
-        dgf_obs::AlertState::Firing => dgf_dgl::AlertState::Firing,
-        dgf_obs::AlertState::Resolved => dgf_dgl::AlertState::Resolved,
-    }
-}
 
 fn why_path_to_dgl(p: &dgf_obs::CriticalPath) -> dgf_dgl::WhyPath {
     dgf_dgl::WhyPath {
@@ -3199,7 +3179,7 @@ fn why_path_to_dgl(p: &dgf_obs::CriticalPath) -> dgf_dgl::WhyPath {
             .map(|s| dgf_dgl::WhySegment {
                 from_us: s.from.0,
                 until_us: s.until.0,
-                state: wait_state_to_dgl(s.state),
+                state: s.state,
                 resource: s.resource.clone(),
                 node: s.node.clone(),
             })
@@ -3216,7 +3196,7 @@ fn why_alert_to_dgl(a: &dgf_obs::SlaAlert, now: SimTime) -> dgf_dgl::WhyAlert {
         flow: a.flow.clone(),
         started_us: a.started.0,
         deadline_us: a.deadline.0,
-        state: alert_state_to_dgl(a.state),
+        state: a.state,
         burn_ppm: a.burn_ppm(now),
         fired_at_us: a.fired_at.map(|t| t.0),
         resolved_at_us: a.resolved_at.map(|t| t.0),

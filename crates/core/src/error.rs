@@ -41,8 +41,6 @@ pub enum DfmsError {
         /// The iteration ceiling that was exceeded.
         limit: u64,
     },
-    /// No server in the network can own the request.
-    NoRoute(String),
     /// A provenance snapshot failed to restore.
     Provenance(crate::ProvenanceError),
     /// The write-ahead journal failed (I/O, foreign file, unframeable
@@ -76,7 +74,6 @@ impl fmt::Display for DfmsError {
             DfmsError::IterationLimit { transaction, node, limit } => {
                 write!(f, "transaction {transaction:?} node {node:?} exceeded {limit} iterations")
             }
-            DfmsError::NoRoute(what) => write!(f, "no DfMS server routes {what:?}"),
             DfmsError::Provenance(e) => write!(f, "provenance: {e}"),
             DfmsError::Journal(e) => write!(f, "journal: {e}"),
             DfmsError::Recovery(why) => write!(f, "recovery failed: {why}"),

@@ -18,7 +18,7 @@
 //! | [`scheduler`] | `dgf-scheduler` | planners, cost model, SLAs, virtual data |
 //! | [`triggers`] | `dgf-triggers` | event–condition–action datagrid triggers |
 //! | [`ilm`] | `dgf-ilm` | information lifecycle management, star flows |
-//! | [`dfms`] | `dgf-dfms` | the engine: lifecycle, provenance, server, P2P |
+//! | [`dfms`] | `dgf-dfms` | the engine: lifecycle, provenance, server |
 //! | [`fabric`] | `dgf-fabric` | federated shards over a journaled virtual-time bus |
 //! | [`baselines`] | `dgf-baselines` | cron-script ILM, client-side engine |
 //!
@@ -128,7 +128,7 @@ pub mod journal {
 pub mod prelude {
     pub use crate::baselines::{ClientCrash, ClientSideEngine, CronEntry, CronRule, CronScriptIlm};
     pub use crate::dfms::{
-        BisectOutcome, BisectPredicate, Dfms, DfmsNetwork, DfmsServer, EngineMetrics,
+        BisectOutcome, BisectPredicate, Dfms, DfmsServer, EngineMetrics,
         JournalConfig, Materialized, ProvenanceError, ProvenanceQuery, ProvenanceRecord,
         ProvenanceStore, RunOptions, StateDiff, StepOutcome, SyncPolicy, TimeTravel,
     };

@@ -13,11 +13,11 @@
 
 use crate::envelope::{BusEnvelope, BusPayload};
 use crate::FabricError;
-use dgf_dfms::{first_path, Dfms, DfmsError, JournalConfig, LookupService, RunOptions};
+use dgf_dfms::{Dfms, DfmsError, JournalConfig, RunOptions};
 use dgf_dgl::{
-    Children, ControlPattern, DataGridRequest, DataGridResponse, FederatedFlow, FederationBus,
-    FederationHandoff, FederationQuery, FederationReport, FederationShard, Flow, RequestAck,
-    RequestBody, RequestMode, RunState, StatusReport,
+    Children, ControlPattern, DataGridRequest, DataGridResponse, DglOperation, FederatedFlow,
+    FederationBus, FederationHandoff, FederationQuery, FederationReport, FederationShard, Flow,
+    IterSource, RequestAck, RequestBody, RequestMode, RunState, StatusReport,
 };
 use dgf_dgms::LogicalPath;
 use dgf_journal::{Journal, Record, RecordKind};
@@ -40,10 +40,14 @@ pub enum BusCrashPoint {
     AfterFrame,
 }
 
-/// One engine shard: a complete DfMS plus its bus WAL.
+/// One engine shard: a complete DfMS plus its bus WAL and the
+/// namespace prefixes it owns.
 #[derive(Debug)]
 pub struct Shard {
     engine: Dfms,
+    /// Owned prefixes, parsed for routing and as registered for
+    /// `federationReport`.
+    prefixes: Vec<(LogicalPath, String)>,
     bus: Option<Journal>,
     sent: u64,
     received: u64,
@@ -90,8 +94,6 @@ enum Plan {
 pub struct Fabric {
     shards: BTreeMap<String, Shard>,
     order: Vec<String>,
-    lookup: LookupService,
-    prefixes: BTreeMap<String, Vec<String>>,
     /// Engine and federated transactions → owning shard.
     txn_home: BTreeMap<String, String>,
     fed: BTreeMap<String, FederatedRun>,
@@ -122,8 +124,6 @@ impl Fabric {
         Fabric {
             shards: BTreeMap::new(),
             order: Vec::new(),
-            lookup: LookupService::new(),
-            prefixes: BTreeMap::new(),
             txn_home: BTreeMap::new(),
             fed: BTreeMap::new(),
             fed_counter: 0,
@@ -187,17 +187,16 @@ impl Fabric {
         engine: Dfms,
         bus: Option<Journal>,
     ) -> Result<(), FabricError> {
-        let mut parsed_prefixes = Vec::new();
-        for p in prefixes {
-            let parsed = LogicalPath::parse(p)
-                .map_err(|_| FabricError::Config(format!("shard {name:?} has an unparsable prefix {p:?}")))?;
-            self.lookup.register(parsed, name);
-            parsed_prefixes.push((*p).to_owned());
-        }
-        self.prefixes.insert(name.to_owned(), parsed_prefixes);
+        let prefixes = prefixes
+            .iter()
+            .map(|p| match LogicalPath::parse(p) {
+                Ok(parsed) => Ok((parsed, (*p).to_owned())),
+                Err(_) => Err(FabricError::Config(format!("shard {name:?} has an unparsable prefix {p:?}"))),
+            })
+            .collect::<Result<_, _>>()?;
         self.order.push(name.to_owned());
         self.shards
-            .insert(name.to_owned(), Shard { engine, bus, sent: 0, received: 0 });
+            .insert(name.to_owned(), Shard { engine, prefixes, bus, sent: 0, received: 0 });
         Ok(())
     }
 
@@ -315,7 +314,7 @@ impl Fabric {
                         .order
                         .first()
                         .cloned()
-                        .ok_or_else(|| FabricError::Dfms(DfmsError::NoRoute("fabric has no shards".into())))?,
+                        .ok_or_else(|| FabricError::NoRoute("fabric has no shards".into()))?,
                 };
                 self.handle_on(&shard, request)
             }
@@ -328,7 +327,7 @@ impl Fabric {
                     .order
                     .first()
                     .cloned()
-                    .ok_or_else(|| FabricError::Dfms(DfmsError::NoRoute("fabric has no shards".into())))?;
+                    .ok_or_else(|| FabricError::NoRoute("fabric has no shards".into()))?;
                 self.handle_on(&shard, request)
             }
         }
@@ -413,18 +412,22 @@ impl Fabric {
             }
         }
         let path = first_path(flow)
-            .ok_or_else(|| FabricError::Dfms(DfmsError::NoRoute("flow touches no logical path".into())))?;
+            .ok_or_else(|| FabricError::NoRoute("flow touches no logical path".into()))?;
         Ok(Plan::Single(self.owner_of(&path)?))
     }
 
+    /// The shard owning `path`: the deepest matching prefix wins, and
+    /// among equally deep prefixes the one registered last.
     fn owner_of(&self, path: &str) -> Result<String, FabricError> {
         let parsed = LogicalPath::parse(path)
-            .map_err(|_| FabricError::Dfms(DfmsError::NoRoute(format!("unroutable path template {path:?}"))))?;
-        Ok(self
-            .lookup
-            .lookup(&parsed)
-            .ok_or_else(|| FabricError::Dfms(DfmsError::NoRoute(parsed.to_string())))?
-            .to_owned())
+            .map_err(|_| FabricError::NoRoute(format!("unroutable path template {path:?}")))?;
+        self.order
+            .iter()
+            .flat_map(|name| self.shards[name].prefixes.iter().map(move |(prefix, _)| (prefix, name)))
+            .filter(|(prefix, _)| parsed.is_under(prefix))
+            .max_by_key(|(prefix, _)| prefix.depth())
+            .map(|(_, name)| name.clone())
+            .ok_or_else(|| FabricError::NoRoute(parsed.to_string()))
     }
 
     // ------------------------------------------------------------------
@@ -952,7 +955,7 @@ impl Fabric {
                     let shard = &self.shards[name];
                     FederationShard {
                         name: name.clone(),
-                        prefixes: self.prefixes.get(name).cloned().unwrap_or_default(),
+                        prefixes: shard.prefixes.iter().map(|(_, raw)| raw.clone()).collect(),
                         flows: shard.engine.flow_summaries().len() as u64,
                         time_us: shard.engine.now().0,
                         journaled: self.dir.is_some(),
@@ -1351,10 +1354,51 @@ impl BusEnvelope {
     }
 }
 
+/// The first concrete logical path a flow mentions: the routing key
+/// for whole flows and for each sub-flow of a federated run. Templates
+/// with variables are skipped, since routing needs a static prefix.
+fn first_path(flow: &Flow) -> Option<String> {
+    fn from_op(op: &DglOperation) -> Option<String> {
+        let candidate = match op {
+            DglOperation::CreateCollection { path }
+            | DglOperation::Ingest { path, .. }
+            | DglOperation::Replicate { path, .. }
+            | DglOperation::Migrate { path, .. }
+            | DglOperation::Trim { path, .. }
+            | DglOperation::Delete { path }
+            | DglOperation::Rename { path, .. }
+            | DglOperation::Checksum { path, .. }
+            | DglOperation::SetMetadata { path, .. }
+            | DglOperation::SetPermission { path, .. } => path,
+            DglOperation::Query { collection, .. } => collection,
+            DglOperation::Execute { inputs, .. } => inputs.first()?,
+            DglOperation::Assign { .. } | DglOperation::Notify { .. } => return None,
+        };
+        if candidate.contains("${") {
+            None
+        } else {
+            Some(candidate.clone())
+        }
+    }
+    // The iteration source may carry the routable collection even when
+    // step paths are templates.
+    if let ControlPattern::ForEach { source, .. } = &flow.logic.pattern {
+        match source {
+            IterSource::Collection(c) if !c.contains("${") => return Some(c.clone()),
+            IterSource::Query { collection, .. } if !collection.contains("${") => return Some(collection.clone()),
+            _ => {}
+        }
+    }
+    match &flow.children {
+        Children::Steps(steps) => steps.iter().find_map(|s| from_op(&s.operation)),
+        Children::Flows(flows) => flows.iter().find_map(first_path),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgf_dgl::{DglOperation, FlowBuilder, FlowStatusQuery, ResponseBody};
+    use dgf_dgl::{DglOperation, FlowBuilder, FlowStatusQuery, ResponseBody, TelemetryQuery, WhyQuery};
     use dgf_dgms::{DataGrid, Principal, UserRegistry};
     use dgf_scheduler::{PlannerKind, Scheduler};
     use dgf_simgrid::{GridBuilder, GridPreset};
@@ -1540,15 +1584,125 @@ mod tests {
     fn unroutable_flows_error() {
         let mut fabric = two_shard_fabric();
         let req = DataGridRequest::flow("r", "u", zone_flow("f", "/gamma/x"));
-        assert!(matches!(fabric.route(req), Err(FabricError::Dfms(DfmsError::NoRoute(_)))));
+        let err = fabric.route(req).unwrap_err();
+        assert!(matches!(err, FabricError::NoRoute(_)), "got {err}");
+        assert_eq!(err.to_string(), r#"no shard routes "/gamma""#);
+        let unknown_status = DataGridRequest::status("r", "u", FlowStatusQuery::whole("t99"));
+        assert!(matches!(
+            fabric.route(unknown_status),
+            Err(FabricError::Dfms(DfmsError::UnknownTransaction(_)))
+        ));
         let opaque = FlowBuilder::sequential("f")
             .step("n", DglOperation::Notify { message: "x".into() })
             .build()
             .unwrap();
         assert!(matches!(
             fabric.route(DataGridRequest::flow("r", "u", opaque)),
-            Err(FabricError::Dfms(DfmsError::NoRoute(_)))
+            Err(FabricError::NoRoute(_))
         ));
+    }
+
+    #[test]
+    fn requests_route_by_namespace_and_status_follows_home() {
+        let mut fabric = two_shard_fabric();
+        let (routed, response) = fabric
+            .route(DataGridRequest::flow("r1", "u", zone_flow("f", "/beta/x")).asynchronous())
+            .unwrap();
+        assert_eq!(routed, "beta");
+        let txn = response.transaction().to_owned();
+        fabric.pump().unwrap();
+        // Queries scoped to the transaction follow it home, bare or
+        // shard-qualified, without naming a path.
+        for query in [txn.clone(), format!("beta/{txn}")] {
+            let (home, status) = fabric
+                .route(DataGridRequest::status("r2", "u", FlowStatusQuery::whole(&query)))
+                .unwrap();
+            assert_eq!(home, "beta", "{query}");
+            let ResponseBody::Status(s) = status.body else { panic!("expected status") };
+            assert_eq!(s.state, RunState::Completed);
+            let (home, why) = fabric
+                .route(DataGridRequest::why("r3", "u", WhyQuery::new().with_flow(&query)))
+                .unwrap();
+            assert_eq!(home, "beta", "{query}");
+            assert!(matches!(why.body, ResponseBody::Why(_)), "got {:?}", why.body);
+        }
+        // Grid-global requests name no namespace and go to the first shard.
+        let (home, telemetry) = fabric
+            .route(DataGridRequest::telemetry("r4", "u", TelemetryQuery::scrape()))
+            .unwrap();
+        assert_eq!(home, "alpha");
+        assert!(matches!(telemetry.body, ResponseBody::Telemetry(_)));
+        let (home, _) = fabric.route(DataGridRequest::why("r5", "u", WhyQuery::new())).unwrap();
+        assert_eq!(home, "alpha");
+    }
+
+    #[test]
+    fn unroutable_requests_error() {
+        let mut fabric = two_shard_fabric();
+        // A why query for a transaction no shard has seen.
+        let err = fabric
+            .route(DataGridRequest::why("r", "u", WhyQuery::new().with_flow("t99")))
+            .unwrap_err();
+        assert!(matches!(err, FabricError::Dfms(DfmsError::UnknownTransaction(_))), "got {err}");
+        // A qualified id naming a shard that does not exist.
+        let err = fabric
+            .route(DataGridRequest::status("r", "u", FlowStatusQuery::whole("gamma/t1")))
+            .unwrap_err();
+        assert_eq!(err.to_string(), r#"unknown shard "gamma""#);
+        // A composition whose second sub-flow no shard owns.
+        let parent = FlowBuilder::sequential("survey")
+            .flow(zone_flow("stage", "/alpha/data"))
+            .flow(zone_flow("lost", "/gamma/data"))
+            .build()
+            .unwrap();
+        let err = fabric.route(DataGridRequest::flow("r", "u", parent)).unwrap_err();
+        assert_eq!(err.to_string(), r#"no shard routes "/gamma""#);
+        assert!(!fabric.engine("alpha").unwrap().grid().exists(&path("/alpha/data")));
+        // An empty fabric refuses even grid-global requests.
+        let mut empty = Fabric::new();
+        for request in [
+            DataGridRequest::telemetry("r", "u", TelemetryQuery::scrape()),
+            DataGridRequest::why("r", "u", WhyQuery::new()),
+        ] {
+            assert!(matches!(empty.route(request), Err(FabricError::NoRoute(_))));
+        }
+    }
+
+    #[test]
+    fn the_deepest_prefix_wins() {
+        let mut fabric = Fabric::new();
+        fabric.add_shard("root", &["/"], engine(1)).unwrap();
+        fabric.add_shard("scec", &["/home/scec"], engine(2)).unwrap();
+        for (p, owner) in [("/home/scec/run1", "scec"), ("/home/other", "root"), ("/home/scec", "scec")] {
+            let flow = FlowBuilder::sequential("f")
+                .step("mk", DglOperation::CreateCollection { path: p.into() })
+                .build()
+                .unwrap();
+            let (routed, _) = fabric.route(DataGridRequest::flow("r", "u", flow).asynchronous()).unwrap();
+            assert_eq!(routed, owner, "{p}");
+        }
+    }
+
+    #[test]
+    fn equally_deep_prefixes_go_to_the_shard_registered_last() {
+        let mut fabric = Fabric::new();
+        fabric.add_shard("first", &["/shared"], engine(1)).unwrap();
+        fabric.add_shard("second", &["/shared"], engine(2)).unwrap();
+        let (routed, _) = fabric
+            .route(DataGridRequest::flow("r1", "u", zone_flow("f", "/shared/x")))
+            .unwrap();
+        assert_eq!(routed, "second");
+        assert!(fabric.engine("second").unwrap().grid().exists(&path("/shared/x")));
+        assert!(!fabric.engine("first").unwrap().grid().exists(&path("/shared/x")));
+    }
+
+    #[test]
+    fn foreach_flows_route_by_their_collection() {
+        let flow = FlowBuilder::for_each_in_collection("sweep", "f", "/alpha/data")
+            .step("c", DglOperation::Checksum { path: "${f}".into(), resource: None, register: false })
+            .build()
+            .unwrap();
+        assert_eq!(first_path(&flow), Some("/alpha/data".to_owned()));
     }
 
     fn temp_dir(name: &str) -> PathBuf {

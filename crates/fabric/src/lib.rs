@@ -17,11 +17,11 @@
 //!   application (`recv` frames). Delivery order is total — ascending
 //!   (virtual time, sequence) — and the receiver is pumped to the
 //!   envelope's virtual time before the payload applies.
-//! - **Routing** generalizes [`dgf_dfms::LookupService`]: requests fan
-//!   out by logical-path prefix; a flow composing sub-flows owned by
-//!   two or more shards becomes a *federated run* whose sub-flows are
-//!   delegated to their owners over the bus, with completion acks
-//!   flowing back.
+//! - **Routing** is the lookup service: each shard registers namespace
+//!   prefixes, and requests fan out by the deepest matching prefix; a
+//!   flow composing sub-flows owned by two or more shards becomes a
+//!   *federated run* whose sub-flows are delegated to their owners over
+//!   the bus, with completion acks flowing back.
 //! - **Recovery** ([`Fabric::recover`]) replays every engine WAL, then
 //!   the bus WALs: federated runs, hand-offs, the bus position, and
 //!   in-flight envelopes are all rebuilt, and interrupted deliveries
@@ -60,6 +60,9 @@ pub enum FabricError {
     Journal(JournalError),
     /// A request named a shard the fabric does not have.
     UnknownShard(String),
+    /// No shard owns the request (unregistered path, a flow touching no
+    /// concrete path, or a fabric with no shards).
+    NoRoute(String),
     /// A bus WAL record could not be decoded.
     BadFrame(String),
     /// Fabric assembly was inconsistent (duplicate shard, bad prefix,
@@ -80,6 +83,7 @@ impl fmt::Display for FabricError {
             FabricError::Dfms(e) => write!(f, "shard engine: {e}"),
             FabricError::Journal(e) => write!(f, "bus journal: {e}"),
             FabricError::UnknownShard(s) => write!(f, "unknown shard {s:?}"),
+            FabricError::NoRoute(what) => write!(f, "no shard routes {what:?}"),
             FabricError::BadFrame(msg) => write!(f, "bad bus frame: {msg}"),
             FabricError::Config(msg) => write!(f, "fabric configuration: {msg}"),
             FabricError::CrashInjected { delivery, point } => {

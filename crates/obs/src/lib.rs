@@ -13,8 +13,9 @@
 //!   and sim-time histograms under per-subsystem and per-run scopes,
 //!   with plain-text and JSON exporters ([`MetricsSnapshot`]);
 //! * a cheap, clonable, thread-safe handle ([`Obs`]) that every
-//!   subsystem (engine, scheduler, triggers, server, network) holds to
-//!   write into one shared recorder + registry.
+//!   subsystem (engine, scheduler, triggers, server) holds to write
+//!   into one shared recorder + registry; a fabric keeps one of its own
+//!   for routing and the inter-shard bus.
 //!
 //! The engine advances the handle's notion of "now" ([`Obs::set_now`])
 //! once per dispatched work item; subsystems below the engine record
@@ -52,7 +53,7 @@ pub use event::{EventKind, ObsEvent};
 pub use health::{FlowHealth, HealthConfig, HealthMonitor, HealthState, HealthTransition};
 pub use metrics::{percentile, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, SimHistogram};
 pub use perfetto::{
-    decode_perfetto, to_perfetto_trace, to_perfetto_trace_with_profile, PerfettoEvent,
+    decode_perfetto, to_perfetto_trace, PerfettoEvent,
     PerfettoPacket, PerfettoTrack, SLICE_BEGIN, SLICE_END,
 };
 pub use prof::{
@@ -62,11 +63,11 @@ pub use recorder::{EventTail, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use ring::RingBuffer;
 pub use span::{Span, SpanContext, SpanId, SpanKind, TraceId};
 pub use timeseries::{render_scrape, Rollup, SamplingConfig, SeriesPoint, TimeSeries, TimeSeriesStore};
-pub use trace_export::{to_chrome_trace, to_chrome_trace_with_profile};
-pub use why::{
-    critical_path, AlertState, Bottleneck, CriticalPath, PathSegment, SlaAlert, WaitMark,
-    WaitState,
-};
+pub use trace_export::to_chrome_trace;
+pub use why::{critical_path, Bottleneck, CriticalPath, PathSegment, SlaAlert, WaitMark};
+/// The wait-state and alert taxonomies are the wire enums of `dgf-dgl`,
+/// shared so attribution and its reports cannot drift apart.
+pub use dgf_dgl::{AlertState, WaitState};
 
 use dgf_simgrid::{Duration, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -579,23 +580,6 @@ impl Obs {
     /// Drop every accumulated profile node (and any open scopes).
     pub fn profile_reset(&self) {
         self.lock().prof.reset();
-    }
-
-    /// Chrome trace export with the phase profile merged in as a
-    /// synthetic `dgf-prof` timeline (see
-    /// [`to_chrome_trace_with_profile`]). Report-only: the profile
-    /// slices carry wall-clock widths and vary between runs.
-    pub fn export_chrome_trace_with_profile(&self) -> String {
-        let inner = self.lock();
-        to_chrome_trace_with_profile(inner.traces.spans(), &inner.prof.snapshot())
-    }
-
-    /// Perfetto export with the phase profile merged in as a synthetic
-    /// `dgf-prof` track (see [`to_perfetto_trace_with_profile`]).
-    /// Report-only, like its Chrome sibling.
-    pub fn export_perfetto_trace_with_profile(&self) -> Vec<u8> {
-        let inner = self.lock();
-        to_perfetto_trace_with_profile(inner.traces.spans(), &inner.prof.snapshot())
     }
 }
 

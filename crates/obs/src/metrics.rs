@@ -2,7 +2,7 @@
 //! organized into scopes.
 //!
 //! A *scope* names the subsystem (or run) a metric belongs to:
-//! `engine`, `scheduler`, `triggers`, `server`, `network`, `grid`, and
+//! `engine`, `scheduler`, `triggers`, `server`, `fabric`, `grid`, and
 //! one `run:<txn>` scope per transaction. Metric names are dotted
 //! (`steps.executed`, `bytes.moved`); `docs/OBSERVABILITY.md` lists
 //! every name with its unit. Storage is `BTreeMap`-backed so snapshots

@@ -25,50 +25,9 @@
 //! sim-µs, integer parts-per-million, no wall clock, no floats.
 
 use crate::span::{Span, SpanId, SpanKind};
+use dgf_dgl::{AlertState, WaitState};
 use dgf_simgrid::SimTime;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// The closed wait-state taxonomy: every sim-microsecond of a
-/// completed flow's critical path is charged to exactly one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WaitState {
-    /// A step was running on a bound compute resource.
-    Executing,
-    /// A step was eligible but no cluster slot was free.
-    QueuedForCluster,
-    /// Bytes were moving on a WAN link or between storage tiers.
-    TransferOnLink,
-    /// A node was parked until its schedule window reopened.
-    WindowClosed,
-    /// Time between a causal trigger firing and the spawned flow's
-    /// first dispatched work (near-zero while triggers fire
-    /// synchronously).
-    TriggerWait,
-    /// Engine admission, lint gating, and control-flow bookkeeping —
-    /// the residual class that keeps the taxonomy closed.
-    LintAdmission,
-}
-
-impl WaitState {
-    /// The stable kebab-case name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WaitState::Executing => "executing",
-            WaitState::QueuedForCluster => "queued-for-cluster",
-            WaitState::TransferOnLink => "transfer-on-link",
-            WaitState::WindowClosed => "window-closed",
-            WaitState::TriggerWait => "trigger-wait",
-            WaitState::LintAdmission => "lint/admission",
-        }
-    }
-}
-
-impl fmt::Display for WaitState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A wait interval the engine recorded when it parked work: flow `txn`
 /// could not advance at `node` during `[from, until)` because of
@@ -158,34 +117,6 @@ pub struct Bottleneck {
     /// Share of all attributed critical-path time, in integer
     /// parts-per-million.
     pub share_ppm: u64,
-}
-
-/// Lifecycle state of an SLA deadline alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AlertState {
-    /// Objective registered, deadline not yet passed.
-    Pending,
-    /// Deadline passed while the flow was still running.
-    Firing,
-    /// The flow reached a terminal state.
-    Resolved,
-}
-
-impl AlertState {
-    /// The stable wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlertState::Pending => "pending",
-            AlertState::Firing => "firing",
-            AlertState::Resolved => "resolved",
-        }
-    }
-}
-
-impl fmt::Display for AlertState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// One SLA deadline objective and its alert lifecycle.

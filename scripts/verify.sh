@@ -36,14 +36,17 @@ for doc in README.md docs/*.md; do
 done
 [ "$link_errors" -eq 0 ] || exit 1
 
+# Every gate below writes its captures into one scratch directory.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 # Trace determinism: the observability suite must be stable across
 # invocations, and two identically-seeded runs must export
 # byte-identical Chrome trace JSON.
 cargo test -q -p datagridflows --test observability
 cargo test -q -p datagridflows --test observability
-trace_a=$(mktemp) trace_b=$(mktemp)
-scrape_a=$(mktemp) scrape_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b"' EXIT
+trace_a="$tmp/trace_a" trace_b="$tmp/trace_b"
+scrape_a="$tmp/scrape_a" scrape_b="$tmp/scrape_b"
 DGF_TRACE_OUT="$trace_a" cargo run -q --example observability >/dev/null
 DGF_TRACE_OUT="$trace_b" cargo run -q --example observability >/dev/null
 if ! cmp -s "$trace_a" "$trace_b"; then
@@ -65,8 +68,7 @@ fi
 # Lint determinism: the static analyzer's report over the corpus must
 # be byte-identical across two full CLI invocations (stable diagnostic
 # ordering is part of the wire contract).
-lint_a=$(mktemp) lint_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b"' EXIT
+lint_a="$tmp/lint_a" lint_b="$tmp/lint_b"
 cargo run -q --example dgf_lint -- tests/lint_corpus/*.xml >"$lint_a" || true
 cargo run -q --example dgf_lint -- tests/lint_corpus/*.xml >"$lint_b" || true
 if ! cmp -s "$lint_a" "$lint_b"; then
@@ -84,8 +86,7 @@ cargo test -q -p datagridflows --test lint_corpus
 # byte-identical state vs its uninterrupted control, twice over (the
 # journal replay itself is deterministic), and the exhaustive
 # kill-at-every-record-boundary suite must pass.
-recover_a=$(mktemp) recover_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b"' EXIT
+recover_a="$tmp/recover_a" recover_b="$tmp/recover_b"
 cargo run -q --example dgf_recover >"$recover_a"
 cargo run -q --example dgf_recover >"$recover_b"
 if ! cmp -s "$recover_a" "$recover_b"; then
@@ -109,8 +110,7 @@ cargo test -q -p datagridflows --test chaos kill_at_every_record_boundary
 # report byte-identical output across seeded reruns, certify
 # byte-identical per-shard state, and the exhaustive
 # kill-at-every-bus-message-boundary suite must pass.
-fabric_a=$(mktemp) fabric_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b"' EXIT
+fabric_a="$tmp/fabric_a" fabric_b="$tmp/fabric_b"
 cargo run -q --example dgf_fabric >"$fabric_a"
 cargo run -q --example dgf_fabric >"$fabric_b"
 if ! cmp -s "$fabric_a" "$fabric_b"; then
@@ -129,8 +129,7 @@ cargo test -q -p datagridflows --test chaos kill_at_every_bus_message_boundary
 # Time-travel determinism: the scripted console demo (replay-to-
 # ordinal, diff, bisect, verified Perfetto export) must be
 # byte-identical across seeded reruns, and the bisections must land.
-travel_a=$(mktemp) travel_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b"' EXIT
+travel_a="$tmp/travel_a" travel_b="$tmp/travel_b"
 cargo run -q --example dgf_time_travel >"$travel_a"
 cargo run -q --example dgf_time_travel >"$travel_b"
 if ! cmp -s "$travel_a" "$travel_b"; then
@@ -151,8 +150,7 @@ fi
 # Profile-structure determinism: the dgf-prof phase tree (wall/alloc
 # fields zeroed; tree shape, call counts, sim-time totals kept) must be
 # byte-identical across two identically-seeded runs.
-profile_a=$(mktemp) profile_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b"' EXIT
+profile_a="$tmp/profile_a" profile_b="$tmp/profile_b"
 DGF_PROFILE_OUT="$profile_a" cargo run -q --example observability >/dev/null
 DGF_PROFILE_OUT="$profile_b" cargo run -q --example observability >/dev/null
 if ! cmp -s "$profile_a" "$profile_b"; then
@@ -171,8 +169,7 @@ fi
 # the critical-path partition invariant and the alert lifecycles
 # in-process, and dumps the full wire-format whyReport. Two runs must
 # produce byte-identical reports.
-why_a=$(mktemp) why_b=$(mktemp) why_console=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console"' EXIT
+why_a="$tmp/why_a" why_b="$tmp/why_b" why_console="$tmp/why_console"
 DGF_WHY_OUT="$why_a" cargo run -q --example dgf_why >"$why_console"
 DGF_WHY_OUT="$why_b" cargo run -q --example dgf_why >/dev/null
 if ! cmp -s "$why_a" "$why_b"; then
@@ -195,8 +192,7 @@ fi
 # auditor is subject to its own contract — two runs must render
 # byte-identical reports. The self-check and golden-corpus suites ride
 # along.
-audit_a=$(mktemp) audit_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console" "$audit_a" "$audit_b"' EXIT
+audit_a="$tmp/audit_a" audit_b="$tmp/audit_b"
 if ! cargo run -q --example dgf_audit >"$audit_a"; then
     echo "verify: dgf_audit found non-waived determinism hazards" >&2
     tail -30 "$audit_a" >&2
